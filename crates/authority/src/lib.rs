@@ -23,7 +23,9 @@ pub use hits::{base_subgraph, hits, HitsParams, HitsResult};
 pub use objectrank::{
     global_object_rank, modified_object_rank, object_rank, object_rank2, page_rank, RankingError,
 };
-pub use power::{power_iteration, power_iteration_batch, RankParams, RankResult, TransitionMatrix};
+pub use power::{
+    power_iteration, power_iteration_batch, MatrixValues, RankParams, RankResult, TransitionMatrix,
+};
 pub use topics::TopicRanks;
 pub use topk::{top_k, Ranked};
 pub use topk_iteration::{power_iteration_topk, TopKParams, TopKResult};

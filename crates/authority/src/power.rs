@@ -24,6 +24,7 @@
 use crate::base_set::BaseSet;
 use orex_graph::{TransferGraph, TransferRates};
 use orex_telemetry::{logger, CounterHandle, HistogramHandle, Level, RateLimit};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -116,8 +117,20 @@ pub struct RankResult {
 /// transfer-graph topology with per-edge `alpha` weights derived from a
 /// rates vector, pre-aligned to the in-CSR slots for the pull loop, plus
 /// the cache-block boundaries the sweeps iterate over.
+///
+/// The matrix either owns its [`MatrixValues`] or borrows them from an
+/// owner that outlives it ([`Self::borrowed`]), so a matrix that many
+/// callers rank against is built once and lent out without a copy.
 pub struct TransitionMatrix<'g> {
     graph: &'g TransferGraph,
+    values: Cow<'g, MatrixValues>,
+}
+
+/// The rate-dependent values of a [`TransitionMatrix`], detached from the
+/// graph borrow so the owner of the graph can keep them beside it (see
+/// [`TransitionMatrix::into_values`] and [`TransitionMatrix::borrowed`]).
+#[derive(Clone)]
+pub struct MatrixValues {
     /// Per transfer-edge `alpha` (Equation 1), edge-indexed.
     edge_weights: Vec<f64>,
     /// `alpha` aligned with the in-CSR slots.
@@ -152,9 +165,49 @@ impl<'g> TransitionMatrix<'g> {
         let blocks = cache_blocks(graph.in_csr().row_offsets(), graph.node_count());
         Self {
             graph,
-            edge_weights,
-            in_slot_weights,
-            blocks,
+            values: Cow::Owned(MatrixValues {
+                edge_weights,
+                in_slot_weights,
+                blocks,
+            }),
+        }
+    }
+
+    /// A matrix over `graph` that borrows `values` instead of building
+    /// them. `values` must come from [`Self::into_values`] of a matrix
+    /// over the same graph.
+    ///
+    /// # Panics
+    /// Panics if `values` does not fit the graph's edge and node counts.
+    pub fn borrowed(graph: &'g TransferGraph, values: &'g MatrixValues) -> Self {
+        assert_eq!(
+            values.edge_weights.len(),
+            graph.transfer_edge_count(),
+            "matrix values belong to a different graph"
+        );
+        assert_eq!(
+            values.blocks.last().map(|&b| b as usize),
+            Some(graph.node_count()),
+            "matrix values belong to a different graph"
+        );
+        Self {
+            graph,
+            values: Cow::Borrowed(values),
+        }
+    }
+
+    /// The matrix's values, for an owner to keep and lend out later via
+    /// [`Self::borrowed`]. Copies them only if this matrix borrowed them.
+    pub fn into_values(self) -> MatrixValues {
+        self.values.into_owned()
+    }
+
+    /// The per-edge weights, handed back without a copy: still borrowed
+    /// when this matrix borrowed its values, moved out when it owned them.
+    pub fn into_edge_weights(self) -> Cow<'g, [f64]> {
+        match self.values {
+            Cow::Borrowed(v) => Cow::Borrowed(&v.edge_weights),
+            Cow::Owned(v) => Cow::Owned(v.edge_weights),
         }
     }
 
@@ -173,13 +226,13 @@ impl<'g> TransitionMatrix<'g> {
     /// Per-transfer-edge `alpha` weights (edge-indexed).
     #[inline]
     pub fn edge_weights(&self) -> &[f64] {
-        &self.edge_weights
+        &self.values.edge_weights
     }
 
     /// Number of cache blocks the row space is partitioned into.
     #[inline]
     pub fn cache_block_count(&self) -> usize {
-        self.blocks.len() - 1
+        self.values.blocks.len() - 1
     }
 
     /// Computes `out[i] = damping * Σ_{j -> i} alpha(j -> i) * r[j] + add[i]`
@@ -196,13 +249,14 @@ impl<'g> TransitionMatrix<'g> {
         let csr = self.graph.in_csr();
         let offsets = csr.row_offsets();
         let targets = csr.targets();
+        let weights = &self.values.in_slot_weights[..];
         for (local, i) in range.clone().enumerate() {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             let mut acc = 0.0;
             for slot in lo..hi {
                 // `targets` of the in-CSR are the *sources* j of edges j->i.
-                acc += self.in_slot_weights[slot] * r[targets[slot] as usize];
+                acc += weights[slot] * r[targets[slot] as usize];
             }
             out[local] = damping * acc + add[i];
         }
@@ -212,10 +266,11 @@ impl<'g> TransitionMatrix<'g> {
     /// cover it one at a time so each block's CSR slice stays resident.
     /// `rows` must be block-aligned (it comes from [`Self::thread_ranges`]).
     fn pull_rows(&self, r: &[f64], out: &mut [f64], rows: Range<usize>, damping: f64, add: &[f64]) {
+        let blocks = &self.values.blocks;
         let mut row = rows.start;
-        let mut bi = self.blocks.partition_point(|&b| (b as usize) <= rows.start);
+        let mut bi = blocks.partition_point(|&b| (b as usize) <= rows.start);
         while row < rows.end {
-            let block_end = (self.blocks[bi] as usize).min(rows.end);
+            let block_end = (blocks[bi] as usize).min(rows.end);
             let lo = row - rows.start;
             let hi = block_end - rows.start;
             self.pull_range(r, &mut out[lo..hi], row..block_end, damping, add);
@@ -239,12 +294,13 @@ impl<'g> TransitionMatrix<'g> {
         let csr = self.graph.in_csr();
         let offsets = csr.row_offsets();
         let targets = csr.targets();
+        let weights = &self.values.in_slot_weights[..];
         let width = cols.len();
         for (local, i) in rows.clone().enumerate() {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             acc[..width].fill(0.0);
-            for (&w, &src) in self.in_slot_weights[lo..hi].iter().zip(&targets[lo..hi]) {
+            for (&w, &src) in weights[lo..hi].iter().zip(&targets[lo..hi]) {
                 let src = src as usize;
                 for (a, col) in acc[..width].iter_mut().zip(cols.iter()) {
                     *a += w * col.r[src];
@@ -270,7 +326,7 @@ impl<'g> TransitionMatrix<'g> {
         let target = total.div_ceil(threads).max(1);
         let mut ranges = Vec::with_capacity(threads);
         let mut row_start = 0usize;
-        for w in self.blocks.windows(2) {
+        for w in self.values.blocks.windows(2) {
             if ranges.len() + 1 == threads {
                 break;
             }
@@ -988,6 +1044,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn borrowed_values_rank_bitwise_like_the_owner() {
+        let (tg, rates) = skewed_graph(120);
+        let values = TransitionMatrix::new(&tg, &rates).into_values();
+        let lent = TransitionMatrix::borrowed(&tg, &values);
+        let own = TransitionMatrix::new(&tg, &rates);
+        assert_eq!(lent.cache_block_count(), own.cache_block_count());
+        let base = BaseSet::weighted([(3, 2.0), (50, 1.0)]).unwrap();
+        for threads in [1, 3] {
+            let params = RankParams { threads, ..tight() };
+            let a = power_iteration(&lent, &base, &params, None);
+            let b = power_iteration(&own, &base, &params, None);
+            assert_eq!(a.iterations, b.iterations);
+            assert!(a
+                .scores
+                .iter()
+                .zip(&b.scores)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+        let weights = lent.into_edge_weights();
+        assert!(
+            matches!(weights, Cow::Borrowed(_)),
+            "a lent matrix must not copy"
+        );
+        assert_eq!(&*weights, own.edge_weights());
+        assert!(matches!(own.into_edge_weights(), Cow::Owned(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "different graph")]
+    fn borrowed_values_must_fit_the_graph() {
+        let (tg, rates) = skewed_graph(120);
+        let (ring, _) = ring_graph();
+        let values = TransitionMatrix::new(&tg, &rates).into_values();
+        let _ = TransitionMatrix::borrowed(&ring, &values);
     }
 
     #[test]

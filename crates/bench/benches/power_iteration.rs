@@ -3,7 +3,7 @@
 //! claim), and across damping factors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use orex_authority::{object_rank2, RankParams, TransitionMatrix};
+use orex_authority::{object_rank2, RankParams};
 use orex_core::SystemConfig;
 use orex_datagen::Preset;
 use orex_ir::{Query, QueryVector};
@@ -16,7 +16,7 @@ fn bench_power_iteration(c: &mut Criterion) {
     };
     let dataset = Preset::DblpTop.generate(0.2);
     let system = orex_core::ObjectRankSystem::new(dataset.graph, dataset.ground_truth, config);
-    let matrix = TransitionMatrix::new(system.transfer(), system.initial_rates());
+    let matrix = system.initial_matrix();
     let qv = QueryVector::initial(&Query::parse("data"), system.index().analyzer());
     let params = RankParams::default();
 

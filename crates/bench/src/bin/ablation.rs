@@ -200,7 +200,7 @@ fn main() {
     // Ablation 4: weighted vs uniform base set.
     // ---------------------------------------------------------------
     println!("\n[4] Weighted (ObjectRank2) vs 0/1 (ObjectRank) base set");
-    let matrix = TransitionMatrix::new(system.transfer(), system.initial_rates());
+    let matrix = system.initial_matrix();
     let mut taus = Vec::new();
     for query in &queries {
         let qv = QueryVector::initial(query, system.index().analyzer());
@@ -248,7 +248,7 @@ fn main() {
     let mut total = 0usize;
     for query in &queries {
         let qv = QueryVector::initial(query, system.index().analyzer());
-        let matrix = TransitionMatrix::new(system.transfer(), system.initial_rates());
+        let matrix = system.initial_matrix();
         let Ok(base) = orex_authority::BaseSet::weighted(
             system.index().base_set_scores(&qv, &system.config().okapi),
         ) else {

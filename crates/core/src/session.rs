@@ -14,6 +14,7 @@ use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
 use orex_reformulate::{reformulate, ReformulateParams};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// A ranked result with its display name.
@@ -134,8 +135,10 @@ pub struct QuerySession<'s> {
     system: &'s ObjectRankSystem,
     query: QueryVector,
     rates: TransferRates,
-    /// Per-transfer-edge alpha weights for `rates`.
-    weights: Vec<f64>,
+    /// Per-transfer-edge alpha weights for `rates`: borrowed from the
+    /// system while the rates are its initial ones, owned once feedback
+    /// has trained them.
+    weights: Cow<'s, [f64]>,
     /// Converged ObjectRank2 scores of the current query.
     scores: Vec<f64>,
     /// Stats per step: index 0 is the initial query.
@@ -178,8 +181,9 @@ impl<'s> QuerySession<'s> {
             drop(analysis);
             qv
         };
-        let weights = system.transfer().weights(&rates);
-        let matrix = TransitionMatrix::from_edge_weights(system.transfer(), weights);
+        // Untrained rates rank against the system's shared matrix; only
+        // explicit other rates pay for weights and a matrix build here.
+        let matrix = matrix_for(system, &rates);
         let start = Instant::now();
         let rank_span = telemetry.span("session.rank_us");
         let mut rank_tspan = tracer.span("session.rank");
@@ -203,15 +207,11 @@ impl<'s> QuerySession<'s> {
             rank_converged: result.converged,
             ..StepStats::default()
         };
-        // Reclaim the weights from the matrix by recomputing once — the
-        // matrix borrowed them; sessions keep their own copy for
-        // explanation calls.
-        let weights = system.transfer().weights(&rates);
         Ok(Self {
             system,
             query: qv,
             rates,
-            weights,
+            weights: matrix.into_edge_weights(),
             scores: result.scores,
             history: vec![stats],
         })
@@ -224,8 +224,10 @@ impl<'s> QuerySession<'s> {
     /// outlive any single borrow of the system: keep the [`SessionSnapshot`]
     /// (plain owned data, `Send`) between requests and resume it against
     /// the shared system when the next request arrives. The converged
-    /// scores come straight from the snapshot, so resuming costs one
-    /// weight recomputation, not a power iteration.
+    /// scores come straight from the snapshot and a snapshot under the
+    /// system's initial rates borrows the system's weights, so resuming
+    /// one costs no power iteration and no weight computation; only a
+    /// feedback-trained snapshot recomputes its weights.
     ///
     /// # Panics
     /// Panics if the snapshot comes from a different graph (score
@@ -236,12 +238,11 @@ impl<'s> QuerySession<'s> {
             system.graph().node_count(),
             "snapshot belongs to a different graph"
         );
-        let weights = system.transfer().weights(&snapshot.rates);
         Self {
             system,
+            weights: weights_for(system, &snapshot.rates),
             query: snapshot.query,
             rates: snapshot.rates,
-            weights,
             scores: snapshot.scores,
             history: snapshot.history,
         }
@@ -307,7 +308,7 @@ impl<'s> QuerySession<'s> {
             self.system.graph().node_count(),
             "snapshot belongs to a different graph"
         );
-        self.weights = self.system.transfer().weights(&snapshot.rates);
+        self.weights = weights_for(self.system, &snapshot.rates);
         self.query = snapshot.query;
         self.rates = snapshot.rates;
         self.scores = snapshot.scores;
@@ -434,9 +435,7 @@ impl<'s> QuerySession<'s> {
         let reformulate_time = t.elapsed();
 
         // Stage 4: re-execute with warm start from the previous scores.
-        let new_weights = self.system.transfer().weights(&outcome.rates);
-        let matrix =
-            TransitionMatrix::from_edge_weights(self.system.transfer(), new_weights.clone());
+        let matrix = matrix_for(self.system, &outcome.rates);
         let t = Instant::now();
         let rank_span = telemetry.span("session.rank_us");
         let mut rank_tspan = tracer.span("session.rank");
@@ -475,10 +474,30 @@ impl<'s> QuerySession<'s> {
 
         self.query = outcome.query;
         self.rates = outcome.rates;
-        self.weights = new_weights;
+        self.weights = matrix.into_edge_weights();
         self.scores = result.scores;
         self.history.push(stats);
         Ok(stats)
+    }
+}
+
+/// The transition matrix of `rates`: the system's shared one while they
+/// are untrained, else built from freshly computed weights.
+fn matrix_for<'s>(system: &'s ObjectRankSystem, rates: &TransferRates) -> TransitionMatrix<'s> {
+    if rates == system.initial_rates() {
+        system.initial_matrix()
+    } else {
+        TransitionMatrix::new(system.transfer(), rates)
+    }
+}
+
+/// The edge weights of `rates`, borrowed from the system while they are
+/// untrained.
+fn weights_for<'s>(system: &'s ObjectRankSystem, rates: &TransferRates) -> Cow<'s, [f64]> {
+    if rates == system.initial_rates() {
+        system.initial_matrix().into_edge_weights()
+    } else {
+        Cow::Owned(system.transfer().weights(rates))
     }
 }
 

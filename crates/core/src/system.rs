@@ -7,7 +7,7 @@
 //! the programmatic equivalent of the system the paper deployed at
 //! `http://dbir.cis.fiu.edu/ObjectRankReformulation/`.
 
-use orex_authority::{global_object_rank, RankParams, TransitionMatrix};
+use orex_authority::{global_object_rank, MatrixValues, RankParams, TransitionMatrix};
 use orex_explain::ExplainParams;
 use orex_graph::{DataGraph, NodeId, TransferGraph, TransferRates};
 use orex_ir::{Analyzer, IndexBuilder, InvertedIndex, Okapi};
@@ -50,6 +50,10 @@ pub struct ObjectRankSystem {
     index: InvertedIndex,
     initial_rates: TransferRates,
     config: SystemConfig,
+    /// The transition matrix of `initial_rates`, built once: every initial
+    /// query, and every session whose rates are still untrained, borrows
+    /// it (see [`Self::initial_matrix`]).
+    initial_matrix: MatrixValues,
     /// Global ObjectRank scores under `initial_rates`, used to warm-start
     /// initial queries. `None` when disabled.
     global_scores: Option<Vec<f64>>,
@@ -57,7 +61,8 @@ pub struct ObjectRankSystem {
 
 impl ObjectRankSystem {
     /// Builds the system: derives the transfer graph, indexes every node's
-    /// attribute text, and (optionally) precomputes global ObjectRank.
+    /// attribute text, builds the initial-rates transition matrix, and
+    /// (optionally) precomputes global ObjectRank with it.
     ///
     /// # Panics
     /// Panics if `initial_rates` is invalid for the graph's schema.
@@ -75,18 +80,18 @@ impl ObjectRankSystem {
             builder.add_document(node.raw(), &graph.node_text(node));
         }
         let index = builder.build();
-        let global_scores = if config.global_warm_start {
-            let matrix = TransitionMatrix::new(&transfer, &initial_rates);
-            Some(global_object_rank(&matrix, &config.rank).scores)
-        } else {
-            None
-        };
+        let matrix = TransitionMatrix::new(&transfer, &initial_rates);
+        let global_scores = config
+            .global_warm_start
+            .then(|| global_object_rank(&matrix, &config.rank).scores);
+        let initial_matrix = matrix.into_values();
         Self {
             graph,
             transfer,
             index,
             initial_rates,
             config,
+            initial_matrix,
             global_scores,
         }
     }
@@ -113,6 +118,14 @@ impl ObjectRankSystem {
     #[inline]
     pub fn initial_rates(&self) -> &TransferRates {
         &self.initial_rates
+    }
+
+    /// The transition matrix of [`Self::initial_rates`]. It borrows the
+    /// values the system built once at construction, so lending it out
+    /// costs nothing; the system keeps them resident for its lifetime.
+    #[inline]
+    pub fn initial_matrix(&self) -> TransitionMatrix<'_> {
+        TransitionMatrix::borrowed(&self.transfer, &self.initial_matrix)
     }
 
     /// The configuration.

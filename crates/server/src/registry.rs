@@ -518,8 +518,7 @@ fn backfill_loop(
             tspan.attr_u64("terms", terms.len() as u64);
         }
         let _span = orex_telemetry::global().span("server.backfill_us");
-        let matrix =
-            orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
+        let matrix = system.initial_matrix();
         let mut kept: Vec<(String, f64)> = Vec::with_capacity(terms.len());
         let mut bases = Vec::with_capacity(terms.len());
         let mut skipped: Vec<String> = Vec::new();

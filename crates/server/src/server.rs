@@ -964,9 +964,7 @@ fn handle_explain(
         return Err(ServerError::BadRequest("node id out of range".into()));
     }
     let explanation = session.explain(target).map_err(|e| session_error(&e))?;
-    let summary = session
-        .explain_summary(target, 8)
-        .map_err(|e| session_error(&e))?;
+    let summary = orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
     let meta_paths: Vec<Value> = summary
         .iter()
         .map(|m| {

@@ -3,8 +3,10 @@
 //! `QuerySession` borrows the system, so live sessions can't cross
 //! request boundaries. Instead the table stores each session as a
 //! [`SessionSnapshot`] — plain owned data — and handlers resume it
-//! against the shared system via `QuerySession::resume`, which costs a
-//! weight recomputation rather than a power iteration. Entries expire
+//! against the shared system via `QuerySession::resume`. Resuming runs no
+//! power iteration; a snapshot under the dataset's initial rates borrows
+//! the system's one initial-rates matrix, so only a feedback-trained
+//! snapshot recomputes its edge weights. Entries expire
 //! after a TTL of disuse and the table holds at most `max_entries`
 //! sessions, evicting least-recently-used first.
 

@@ -169,7 +169,7 @@ fn result_nodes(payload: &Value) -> Vec<u64> {
 #[test]
 fn full_interactive_loop_end_to_end() {
     let _guard = serial();
-    let (_, keyword) = fixture();
+    let (system, keyword) = fixture();
     let server = TestServer::spawn_default();
 
     // healthz
@@ -201,11 +201,27 @@ fn full_interactive_loop_end_to_end() {
             >= 0.0
     );
     assert!(explain.get("nodes").and_then(Value::as_u64).unwrap() >= 1);
-    assert!(!explain
-        .get("meta_paths")
-        .and_then(Value::as_array)
-        .unwrap()
-        .is_empty());
+    let meta_paths = explain.get("meta_paths").and_then(Value::as_array).unwrap();
+    assert!(!meta_paths.is_empty());
+    // The endpoint summarizes the explanation it built; the result must be
+    // what an in-process session's `explain_summary` reports.
+    let local = QuerySession::start(&system, &Query::parse(&keyword)).unwrap();
+    let want = local
+        .explain_summary(orex_graph::NodeId::new(nodes[0] as u32), 8)
+        .unwrap();
+    assert_eq!(meta_paths.len(), want.len());
+    for (got, want) in meta_paths.iter().zip(&want) {
+        assert_eq!(
+            got.get("signature").and_then(Value::as_str),
+            Some(want.signature.as_str())
+        );
+        assert_eq!(
+            got.get("count").and_then(Value::as_u64),
+            Some(want.count as u64)
+        );
+        let flow = got.get("total_flow").and_then(Value::as_f64).unwrap();
+        assert!((flow - want.total_flow).abs() <= 1e-12 * want.total_flow.abs().max(1.0));
+    }
 
     // feedback round
     let reply = post(

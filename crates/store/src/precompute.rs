@@ -293,7 +293,12 @@ impl PrecomputedRanks {
         }
         let node_count = r.get_u32()? as usize;
         let entry_count = r.get_u32()? as usize;
-        let mut entries = HashMap::with_capacity(entry_count);
+        // The count comes from the file: reserve no more entries than the
+        // remaining bytes can hold (each takes a string length, a mass and
+        // `node_count` f32 scores), so a crafted count fails on the first
+        // missing entry below instead of in the allocator.
+        let min_entry = node_count.saturating_mul(4).saturating_add(4 + 8);
+        let mut entries = HashMap::with_capacity(entry_count.min(r.remaining() / min_entry));
         for _ in 0..entry_count {
             let term = r.get_str()?;
             let mass = r.get_f64()?;
@@ -513,6 +518,21 @@ mod tests {
         let mid = data.len() - 10;
         data[mid] ^= 0x40;
         assert!(PrecomputedRanks::decode(Bytes::from(data)).is_err());
+    }
+
+    #[test]
+    fn decode_caps_a_hostile_entry_count() {
+        // A valid checksum over a header that claims u32::MAX entries and
+        // carries none: reserving that many map slots would abort the
+        // process before any entry is read.
+        let mut w = Writer::with_magic(PRECOMPUTE_MAGIC);
+        w.put_u64(7);
+        w.put_f64(0.85);
+        w.put_f64(0.002);
+        w.put_u32(3);
+        w.put_u32(u32::MAX);
+        let err = PrecomputedRanks::decode(w.finish()).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
